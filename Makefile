@@ -1,7 +1,8 @@
 # Verification lanes. `make check` is the full pre-merge gate:
-# vet + the regular test suite + the race-detector lane that exercises
-# the concurrent batch engine against live insert traffic + the crash
-# lane that re-runs the WAL crash/recovery sweep several times.
+# vet + the bench/ smoke lane + the regular test suite + the
+# race-detector lane that exercises the concurrent batch engine against
+# live insert traffic + the crash lane that re-runs the WAL
+# crash/recovery sweep several times.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 BENCHSTAT_VERSION ?= latest
 
-.PHONY: build test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-json bench-kernels bench-throughput bench-recall server-smoke
+.PHONY: build test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-smoke bench-json bench-kernels bench-throughput bench-recall server-smoke
 
 build:
 	$(GO) build ./...
@@ -57,7 +58,14 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelEquivalence -fuzztime 5s -run '^$$' ./internal/signature
 	$(GO) test -fuzz FuzzSketchEquivalence -fuzztime 5s -run '^$$' ./internal/sketch
 
-check: vet fmt lint test race crash
+check: vet fmt lint bench-smoke test race crash
+
+# bench/ is a nested module that the root `go build ./...` never compiles,
+# yet it calls exported kernels and bounds of the root module. This lane
+# builds, vets and tests it, so a root change that breaks the benchmark
+# fails here instead of at the next benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fmt fails (and lists the offenders) when any file needs gofmt, so the
 # lane can gate merges; run `gofmt -w .` to fix.
@@ -69,10 +77,10 @@ fmt:
 
 # The lint lane runs sglint, the repo's own invariant-analyzer suite:
 # the syntactic wave (lock discipline, page pin/unpin pairing, runUpdate
-# undo scopes, atomic counter access, banned APIs) plus the dataflow wave
-# (slab coherence, epoch scan contracts, replica fencing, ctx threading,
+# undo scopes, snapshot pinning, atomic counter access, banned APIs) plus
+# the dataflow wave (epoch scan contracts, replica fencing, ctx threading,
 # and the //sglint:hotpath allocation gate) — see DESIGN.md §9. All
-# eleven analyzers share one export-data load per run, and the suite
+# ten analyzers share one export-data load per run, and the suite
 # builds from the module itself, so it works offline and needs no
 # `make tools`.
 lint:

@@ -267,9 +267,9 @@ func (b *Bitset) AndNotCount(o *Bitset) int {
 //     (or not at all: exact counts satisfy the contract too), so callers
 //     must not interpret the clamped value as exact.
 //
-// This is the kernel behind the fused mindist-with-threshold bound: once a
-// directory entry's lower bound exceeds the pruning radius, the remaining
-// words need not be counted.
+// No query path calls it: the tree scores whole nodes with the slab
+// kernels. It stays as the pairwise early-exit baseline the benchmark
+// times against them.
 func (b *Bitset) AndNotCountAtLeast(o *Bitset, limit int) (int, bool) {
 	b.mustMatch(o)
 	if limit <= 0 {
@@ -291,19 +291,6 @@ func (b *Bitset) OrCount(o *Bitset) int {
 func (b *Bitset) HammingDistance(o *Bitset) int {
 	b.mustMatch(o)
 	return kernXorCount(b.words, o.words)
-}
-
-// HammingAtLeast is HammingDistance with an early exit, under exactly the
-// AndNotCountAtLeast contract: limit <= 0 returns (0, true) before any
-// counting; reached == false means the returned distance is exact; reached
-// == true means it is a lower bound in [limit, exact distance].
-func (b *Bitset) HammingAtLeast(o *Bitset, limit int) (int, bool) {
-	b.mustMatch(o)
-	if limit <= 0 {
-		return 0, true
-	}
-	c := kernXorCountAtLeast(b.words, o.words, limit)
-	return c, c >= limit
 }
 
 // EnlargementCount returns |o &^ b|: how many new bits b would gain if o

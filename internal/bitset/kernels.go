@@ -1,9 +1,9 @@
 package bitset
 
 // This file is the portable half of the counting-kernel layer. Every
-// popcount-of-a-combination operation the similarity queries run — Count,
-// AndCount, AndNotCount, OrCount, XOR/Hamming, their early-exit *AtLeast
-// variants, and the batched slab forms — funnels through one kern* dispatch
+// popcount-of-a-combination operation — Count, AndCount, AndNotCount,
+// OrCount, XOR/Hamming, the early-exit AndNotCountAtLeast, and the batched
+// slab forms the query scans run — funnels through one kern* dispatch
 // function. On amd64 with POPCNT (and AVX2 for the slab kernels) the
 // dispatchers select hand-written assembly (popcnt_amd64.s); everywhere
 // else, and when the SGTREE_NO_ASM environment variable is set, they run
@@ -55,8 +55,8 @@ func AlignedWords(n int) []uint64 {
 // Contracts shared by all implementations:
 //
 //   - pairwise kernels require len(a) == len(b) (the callers' mustMatch);
-//   - *AtLeast kernels are called with limit > 0 only — the limit <= 0
-//     case is resolved by the Bitset methods before dispatch — and return
+//   - the AtLeast kernel is called with limit > 0 only — the limit <= 0
+//     case is resolved by the Bitset method before dispatch — and returns
 //     a count c with: c == the exact count when c < limit, and
 //     limit <= c <= exact when counting stopped early (implementations
 //     may stop at any block granularity once the running count reaches
@@ -70,7 +70,7 @@ type kernelImpl struct {
 
 	count                                    func(a []uint64) int
 	andCount, andNotCount, orCount, xorCount func(a, b []uint64) int
-	andNotCountAtLeast, xorCountAtLeast      func(a, b []uint64, limit int) int
+	andNotCountAtLeast                       func(a, b []uint64, limit int) int
 
 	andCountSlab, andNotCountSlab, xorCountSlab func(q, slab []uint64, stride int, out []int32)
 }
@@ -91,7 +91,6 @@ var goKernels = kernelImpl{
 	orCount:            orCountGo,
 	xorCount:           xorCountGo,
 	andNotCountAtLeast: andNotCountAtLeastGo,
-	xorCountAtLeast:    xorCountAtLeastGo,
 	andCountSlab:       andCountSlabGo,
 	andNotCountSlab:    andNotCountSlabGo,
 	xorCountSlab:       xorCountSlabGo,
@@ -248,30 +247,6 @@ func andNotCountAtLeastGo(a, b []uint64, limit int) int {
 	}
 	for ; i < len(b); i++ {
 		c += bits.OnesCount64(a[i] &^ b[i])
-	}
-	return c
-}
-
-// xorCountAtLeastGo is the Hamming-distance counterpart of
-// andNotCountAtLeastGo, with the same block-granular early exit.
-func xorCountAtLeastGo(a, b []uint64, limit int) int {
-	if len(b) < shortKernelWords {
-		return xorCountGo(a, b)
-	}
-	a = a[:len(b)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(b); i += 4 {
-		c += bits.OnesCount64(a[i]^b[i]) +
-			bits.OnesCount64(a[i+1]^b[i+1]) +
-			bits.OnesCount64(a[i+2]^b[i+2]) +
-			bits.OnesCount64(a[i+3]^b[i+3])
-		if c >= limit {
-			return c
-		}
-	}
-	for ; i < len(b); i++ {
-		c += bits.OnesCount64(a[i] ^ b[i])
 	}
 	return c
 }

@@ -4,7 +4,7 @@ package bitset
 
 import "os"
 
-// Assembly kernels (popcnt_amd64.s). The pairwise and *AtLeast kernels
+// Assembly kernels (popcnt_amd64.s). The pairwise and AtLeast kernels
 // need POPCNT only; the slab kernels additionally need AVX2 (they use the
 // VPSHUFB nibble-lookup popcount). Selection happens once at init:
 // dispatch never re-checks features on the hot path.
@@ -26,9 +26,6 @@ func asmXorCount(a, b []uint64) int
 
 //go:noescape
 func asmAndNotCountAtLeast(a, b []uint64, limit int) int
-
-//go:noescape
-func asmXorCountAtLeast(a, b []uint64, limit int) int
 
 //go:noescape
 func asmAndCountSlab(q, slab *uint64, out *int32, stride, rows int)
@@ -69,7 +66,6 @@ var (
 	kernOrCount            = orCountGo
 	kernXorCount           = xorCountGo
 	kernAndNotCountAtLeast = andNotCountAtLeastGo
-	kernXorCountAtLeast    = xorCountAtLeastGo
 	kernAndCountSlab       = andCountSlabGo
 	kernAndNotCountSlab    = andNotCountSlabGo
 	kernXorCountSlab       = xorCountSlabGo
@@ -90,7 +86,6 @@ func init() {
 		kernOrCount = asmOrCount
 		kernXorCount = asmXorCount
 		kernAndNotCountAtLeast = asmAndNotCountAtLeast
-		kernXorCountAtLeast = asmXorCountAtLeast
 	}
 	if useAVX2 {
 		kernAndCountSlab = andCountSlabAsm
@@ -106,7 +101,6 @@ func init() {
 			orCount:            asmOrCount,
 			xorCount:           asmXorCount,
 			andNotCountAtLeast: asmAndNotCountAtLeast,
-			xorCountAtLeast:    asmXorCountAtLeast,
 		}
 		if hasAVX2 {
 			impl.name = "amd64-avx2+popcnt"
@@ -150,13 +144,6 @@ func Kernels() string {
 		return "generic-go"
 	}
 }
-
-// FastSlabKernels reports whether the batched slab kernels are vectorized
-// on this machine (and not disabled via SGTREE_NO_ASM). Callers that trade
-// per-entry early-exit scans for batched slab scans should only do so when
-// this is true: the generic slab loop computes exact counts with no early
-// exit, so without vector hardware the per-entry kernels win.
-func FastSlabKernels() bool { return useAVX2 }
 
 // The asm slab entry points take raw pointers; these adapters apply the
 // vector-path preconditions (whole padded rows, 32-byte chunks) and fall

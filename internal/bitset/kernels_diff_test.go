@@ -83,10 +83,10 @@ func checkPairwise(t *testing.T, label string, a, b []uint64) {
 	}
 }
 
-// checkAtLeast verifies the *AtLeast clamp contract for one result: when
+// checkAtLeast verifies the AtLeast clamp contract for one result: when
 // the exact count is below limit the kernel must return it exactly; once
 // the limit is reachable the result may stop anywhere in [limit, exact].
-// Kernels are only ever called with limit > 0 (the Bitset methods resolve
+// Kernels are only ever called with limit > 0 (the Bitset method resolves
 // limit <= 0 first — TestAtLeastLimitZero).
 func checkAtLeast(t *testing.T, label, implName string, got, exact, limit int) {
 	t.Helper()
@@ -108,7 +108,6 @@ func atLeastLimits(exact int) []int {
 func checkAtLeastKernels(t *testing.T, label string, a, b []uint64) {
 	t.Helper()
 	exactAndNot := naiveAndNotCount(a, b)
-	exactXor := naiveXorCount(a, b)
 	for _, impl := range kernelImpls {
 		for _, limit := range atLeastLimits(exactAndNot) {
 			if limit <= 0 {
@@ -116,13 +115,6 @@ func checkAtLeastKernels(t *testing.T, label string, a, b []uint64) {
 			}
 			got := impl.andNotCountAtLeast(a, b, limit)
 			checkAtLeast(t, label, impl.name+"/andNot", got, exactAndNot, limit)
-		}
-		for _, limit := range atLeastLimits(exactXor) {
-			if limit <= 0 {
-				continue
-			}
-			got := impl.xorCountAtLeast(a, b, limit)
-			checkAtLeast(t, label, impl.name+"/xor", got, exactXor, limit)
 		}
 	}
 }
@@ -272,7 +264,7 @@ func TestKernelMisalignedViews(t *testing.T) {
 }
 
 // TestAtLeastLimitZero pins the documented limit <= 0 behaviour of the
-// Bitset early-exit methods: (0, true) immediately, no counting, for zero
+// Bitset early-exit method: (0, true) immediately, no counting, for zero
 // and negative limits — the case is resolved before kernel dispatch.
 func TestAtLeastLimitZero(t *testing.T) {
 	a := FromPositions(130, []int{0, 64, 129})
@@ -280,9 +272,6 @@ func TestAtLeastLimitZero(t *testing.T) {
 	for _, limit := range []int{0, -1, math.MinInt} {
 		if got, reached := a.AndNotCountAtLeast(b, limit); got != 0 || !reached {
 			t.Errorf("AndNotCountAtLeast(limit=%d) = (%d, %v), want (0, true)", limit, got, reached)
-		}
-		if got, reached := a.HammingAtLeast(b, limit); got != 0 || !reached {
-			t.Errorf("HammingAtLeast(limit=%d) = (%d, %v), want (0, true)", limit, got, reached)
 		}
 	}
 	// And the smallest positive limit still counts: the kernels are never

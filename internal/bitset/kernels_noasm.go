@@ -12,11 +12,6 @@ package bitset
 // support this is always "generic-go".
 func Kernels() string { return "generic-go" }
 
-// FastSlabKernels reports whether the batched slab kernels are vectorized;
-// never on the portable build, so scan layers keep their per-entry
-// early-exit kernels.
-func FastSlabKernels() bool { return false }
-
 func kernCount(a []uint64) int          { return countGo(a) }
 func kernAndCount(a, b []uint64) int    { return andCountGo(a, b) }
 func kernAndNotCount(a, b []uint64) int { return andNotCountGo(a, b) }
@@ -25,10 +20,6 @@ func kernXorCount(a, b []uint64) int    { return xorCountGo(a, b) }
 
 func kernAndNotCountAtLeast(a, b []uint64, limit int) int {
 	return andNotCountAtLeastGo(a, b, limit)
-}
-
-func kernXorCountAtLeast(a, b []uint64, limit int) int {
-	return xorCountAtLeastGo(a, b, limit)
 }
 
 func kernAndCountSlab(q, slab []uint64, stride int, out []int32) {

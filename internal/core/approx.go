@@ -87,7 +87,7 @@ func (t *Tree) CandidateKNN(q signature.Signature, k int, epoch uint64, leaves [
 
 // CandidateKNNContext answers a k-nearest-neighbor query restricted to
 // the given candidate leaf pages: every entry of every listed leaf is
-// compared exactly (slab kernels where available), and the k nearest
+// compared exactly in one slab pass, and the k nearest
 // survivors are returned in (distance, TID) order. The leaf ids must
 // come from a WalkLeaves at the same epoch; if the tree has moved on,
 // the call fails with ErrStaleLeaves without touching any page.
@@ -168,7 +168,7 @@ func (t *Tree) CandidateRangeContext(ctx context.Context, q signature.Signature,
 }
 
 // scanLeafKNN offers every entry of one candidate leaf to the k-NN
-// accumulator — the leaf-handling block of dfSearch, applied to a leaf
+// accumulator — dfSearch's leaf step (knnLeaf), applied to a leaf
 // nominated by the sketch tier instead of reached by descent.
 //
 //sglint:hotpath
@@ -181,20 +181,7 @@ func (e *executor) scanLeafKNN(id storage.PageID, q signature.Signature, acc *kn
 		//sglint:alloc error path: boxing the id allocates only on a corrupt candidate set
 		return fmt.Errorf("core: candidate page %d is not a leaf", id)
 	}
-	if e.slabDistances(n, q) {
-		for i := range n.entries {
-			if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-				acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-			}
-		}
-		return nil
-	}
-	for i := range n.entries {
-		d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-		if !failed {
-			acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-		}
-	}
+	e.knnLeaf(n, q, acc)
 	return nil
 }
 
@@ -211,16 +198,9 @@ func (e *executor) scanLeafRange(id storage.PageID, q signature.Signature, eps f
 		//sglint:alloc error path: boxing the id allocates only on a corrupt candidate set
 		return fmt.Errorf("core: candidate page %d is not a leaf", id)
 	}
-	if e.slabDistances(n, q) {
-		for i := range n.entries {
-			if d := e.bounds[i]; !distFails(d, eps, false) {
-				*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
-			}
-		}
-		return nil
-	}
-	for i := range n.entries {
-		if d, failed := e.compareWithin(q, n.entries[i].sig, eps, false); !failed {
+	e.slabDistances(n, q)
+	for i, d := range e.bounds[:len(n.entries)] {
+		if !distFails(d, eps, false) {
 			*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
 		}
 	}

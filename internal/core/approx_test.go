@@ -91,7 +91,7 @@ func TestCandidateQueriesCompleteLeafSet(t *testing.T) {
 			oracle := func(q signature.Signature, tid dataset.TID) float64 {
 				return signature.Distance(cfg.metric, q, sigOf(t, cfg.universe, d.Tx[int(tid)]))
 			}
-			for qi, q := range cfg.queries(t, d, 13) {
+			for qi, q := range cfg.queries(d, 13) {
 				wantNN, _, err := tr.KNN(q, 10)
 				if err != nil {
 					t.Fatal(err)
@@ -152,7 +152,7 @@ func TestCandidateSubsetOfLeaves(t *testing.T) {
 	tr := buildTree(t, d, cfg.options())
 	leaves, epoch := collectLeaves(t, tr)
 	half := leaves[:len(leaves)/2]
-	q := cfg.queries(t, d, 15)[0]
+	q := cfg.queries(d, 15)[0]
 	exact, _, err := tr.RangeSearch(q, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestCandidateStaleEpoch(t *testing.T) {
 	d := cfg.data(t, 200, 16)
 	tr := buildTree(t, d, cfg.options())
 	leaves, epoch := collectLeaves(t, tr)
-	q := cfg.queries(t, d, 17)[0]
+	q := cfg.queries(d, 17)[0]
 
 	if err := tr.Insert(sigOf(t, cfg.universe, d.Tx[0]), dataset.TID(9999)); err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCandidateRejectsNonLeaf(t *testing.T) {
 	snap := tr.pinSnapshot()
 	root := snap.root
 	snap.release()
-	q := cfg.queries(t, d, 19)[0]
+	q := cfg.queries(d, 19)[0]
 	if _, _, err := tr.CandidateKNN(q, 5, epoch, []storage.PageID{root}); err == nil {
 		t.Fatal("CandidateKNN on a directory page id: err = nil, want error")
 	}

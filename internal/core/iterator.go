@@ -162,39 +162,17 @@ func (it *NNIterator) NextContext(ctx context.Context) (Neighbor, bool, error) {
 		it.pq.pop()
 		// Both expansion loops only push onto the frontier, so the slab
 		// scratch can be consumed in place; distance browsing needs every
-		// entry's exact value anyway, which is exactly what the batched
-		// scans produce.
+		// entry's exact value anyway, which is what the slab scans produce.
 		if n.leaf {
-			if it.e.slabDistances(n, it.q) {
-				for i := range n.entries {
-					it.pq.push(browseItem{dist: it.e.bounds[i], tid: n.entries[i].tid})
-				}
-				continue
-			}
-			for i := range n.entries {
-				it.pq.push(browseItem{
-					dist: it.e.compare(it.q, n.entries[i].sig),
-					tid:  n.entries[i].tid,
-				})
+			it.e.slabDistances(n, it.q)
+			for i, d := range it.e.bounds[:len(n.entries)] {
+				it.pq.push(browseItem{dist: d, tid: n.entries[i].tid})
 			}
 			continue
 		}
-		if it.e.slabBounds(n, it.q) {
-			for i := range n.entries {
-				it.pq.push(browseItem{
-					dist: it.e.bounds[i],
-					node: n.entries[i].child,
-					area: n.entryArea(i),
-				})
-			}
-			continue
-		}
-		for i := range n.entries {
-			it.pq.push(browseItem{
-				dist: it.e.bound(it.q, &n.entries[i]),
-				node: n.entries[i].child,
-				area: n.entryArea(i),
-			})
+		it.e.slabBounds(n, it.q)
+		for i, md := range it.e.bounds[:len(n.entries)] {
+			it.pq.push(browseItem{dist: md, node: n.entries[i].child, area: n.areas[i]})
 		}
 	}
 	// Exhausted: drop the snapshot pin so the epoch's pages can be

@@ -157,27 +157,14 @@ type branchEntry struct {
 	area    int
 }
 
-// orderBranches computes every entry's lower bound and sorts by the Figure
-// 4 key. On slab-scannable nodes the bounds come from one batched kernel
-// pass (all exact); otherwise the per-entry kernel aborts the popcount
-// early for entries already prunable under thr. The buffer comes from the
-// executor's per-level free list; callers return it with putBranches.
-// Entries whose bound was clamped by the early exit sort after every
-// survivor (their value is at least the failing limit, survivors' exact
-// values are below it) and always fail the caller's pruning test, so the
-// traversal is identical on both paths — only the bound values observers
-// see for pruned entries differ (exact vs clamped, both valid).
-func (e *executor) orderBranches(n *node, q signature.Signature, thr float64, strict bool) []branchEntry {
+// orderBranches computes every entry's lower bound in one slab pass and
+// sorts by the Figure 4 key. The buffer comes from the executor's
+// per-level free list; callers return it with putBranches.
+func (e *executor) orderBranches(n *node, q signature.Signature) []branchEntry {
 	branches := e.getBranches()
-	if e.slabBounds(n, q) {
-		for i := range n.entries {
-			branches = append(branches, branchEntry{idx: i, minDist: e.bounds[i], area: n.entryArea(i)})
-		}
-	} else {
-		for i := range n.entries {
-			md, _ := e.boundWithin(q, &n.entries[i], thr, strict)
-			branches = append(branches, branchEntry{idx: i, minDist: md, area: n.entryArea(i)})
-		}
+	e.slabBounds(n, q)
+	for i, md := range e.bounds[:len(n.entries)] {
+		branches = append(branches, branchEntry{idx: i, minDist: md, area: n.areas[i]})
 	}
 	sortBranches(branches)
 	return branches
@@ -225,23 +212,10 @@ func (e *executor) dfSearch(id storage.PageID, q signature.Signature, acc *knnAc
 		return err
 	}
 	if n.leaf {
-		if e.slabDistances(n, q) {
-			for i := range n.entries {
-				if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-					acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-				}
-			}
-			return nil
-		}
-		for i := range n.entries {
-			d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-			if !failed {
-				acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-			}
-		}
+		e.knnLeaf(n, q, acc)
 		return nil
 	}
-	branches := e.orderBranches(n, q, acc.bound(), true)
+	branches := e.orderBranches(n, q)
 	defer e.putBranches(branches)
 	for bi, b := range branches {
 		if b.minDist >= acc.bound() {
@@ -254,6 +228,21 @@ func (e *executor) dfSearch(id storage.PageID, q signature.Signature, acc *knnAc
 		}
 	}
 	return nil
+}
+
+// knnLeaf offers every entry of leaf n to the k-NN accumulator: the leaf
+// step of dfSearch, KNNBestFirst and the candidate-leaf scan.
+//
+//sglint:hotpath
+func (e *executor) knnLeaf(n *node, q signature.Signature, acc *knnAccumulator) {
+	e.slabDistances(n, q)
+	for i, d := range e.bounds[:len(n.entries)] {
+		// offer repeats this test, but does not inline: checking here
+		// keeps the call off the path of the many rejected entries.
+		if !distFails(d, acc.bound(), true) {
+			acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
+		}
+	}
 }
 
 // AllNearestNeighbors returns every signature at the minimum distance from
@@ -293,22 +282,10 @@ func (e *executor) dfSearchAll(id storage.PageID, q signature.Signature, best *f
 		return err
 	}
 	if n.leaf {
-		slab := e.slabDistances(n, q)
-		for i := range n.entries {
-			// Inclusive threshold: ties with the current best must be kept,
-			// so a candidate is rejected only once its distance provably
-			// exceeds *best.
-			var d float64
-			var failed bool
-			if slab {
-				d = e.bounds[i]
-				failed = distFails(d, *best, false)
-			} else {
-				d, failed = e.compareWithin(q, n.entries[i].sig, *best, false)
-			}
-			if failed {
-				continue
-			}
+		e.slabDistances(n, q)
+		for i, d := range e.bounds[:len(n.entries)] {
+			// Ties with the current best are kept: only a distance above
+			// *best is rejected.
 			switch {
 			case d < *best:
 				*best = d
@@ -320,7 +297,7 @@ func (e *executor) dfSearchAll(id storage.PageID, q signature.Signature, best *f
 		}
 		return nil
 	}
-	branches := e.orderBranches(n, q, *best, false)
+	branches := e.orderBranches(n, q)
 	defer e.putBranches(branches)
 	for bi, b := range branches {
 		if b.minDist > *best {
@@ -430,43 +407,18 @@ func (t *Tree) KNNBestFirstContext(ctx context.Context, q signature.Signature, k
 			return nil, e.stats, e.finish(err)
 		}
 		if n.leaf {
-			if e.slabDistances(n, q) {
-				for i := range n.entries {
-					if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-						acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-					}
-				}
-				continue
-			}
-			for i := range n.entries {
-				d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-				if !failed {
-					acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-				}
-			}
+			e.knnLeaf(n, q, acc)
 			continue
 		}
 		// The loop body only pushes onto the frontier (no recursion, no
 		// nested slab scan), so consuming e.bounds in place is safe.
-		slab := e.slabBounds(n, q)
-		for i := range n.entries {
-			var md float64
-			var prunable bool
-			if slab {
-				md = e.bounds[i]
-				prunable = distFails(md, acc.bound(), true)
-			} else {
-				md, prunable = e.boundWithin(q, &n.entries[i], acc.bound(), true)
-			}
-			if !prunable {
-				pq.push(pqItem{
-					id:      n.entries[i].child,
-					minDist: md,
-					area:    n.entryArea(i),
-				})
-			} else {
+		e.slabBounds(n, q)
+		for i, md := range e.bounds[:len(n.entries)] {
+			if distFails(md, acc.bound(), true) {
 				e.prune(n.entries[i].child, md)
+				continue
 			}
+			pq.push(pqItem{id: n.entries[i].child, minDist: md, area: n.areas[i]})
 		}
 	}
 	res := acc.results()

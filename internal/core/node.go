@@ -59,10 +59,10 @@ func (e *entry) ref(leaf bool) uint32 {
 //
 // Decoding lays all entry signatures out in one contiguous []uint64 slab
 // (see decodeBuf), so a freshly read node costs three allocations however
-// many entries it has and the entry-scan loops of the query algorithms walk
-// adjacent memory. Entries appended later by update paths (splits, merges)
-// carry their own independently allocated signatures; the two kinds mix
-// freely because every entry's signature is self-describing.
+// many entries it has and the query scans walk adjacent memory. Entries
+// appended later by update paths (splits, merges) carry their own
+// independently allocated signatures; the two kinds mix freely because
+// every entry's signature is self-describing.
 type node struct {
 	id      storage.PageID
 	leaf    bool
@@ -70,11 +70,9 @@ type node struct {
 	entries []entry
 	cont    []storage.PageID
 
-	// areas caches each entry's signature area (popcount). It is populated
-	// only when the node enters the decoded-node cache — cached nodes are
-	// immutable, so the cache can never go stale — and stays nil on the
-	// mutable nodes the update paths decode privately. Read through
-	// entryArea, never directly.
+	// areas caches each entry's signature area (popcount). readNodeCached
+	// fills it on every node it hands a query; it stays nil on the
+	// mutable nodes the update paths decode privately.
 	areas []int
 
 	// slab is the decoded entry signatures as a structure-of-arrays matrix:
@@ -83,28 +81,11 @@ type node struct {
 	// the signature's words kept zero. The base address is 64-byte aligned
 	// and slabStride is a multiple of 4 words, which is what the batched
 	// AVX2 kernels (bitset.*Slab) need to scan whole nodes in one blocked
-	// pass. Entry views alias the same memory, so the slab is valid only
-	// while the entry set decodeBuf produced is intact: any mutation that
-	// removes, replaces, or reorders entries must call dropSlab (appends
-	// are caught by the slabRows != len(entries) check in slabScannable).
+	// pass. Only queries read it, and only on nodes from readNodeCached,
+	// which no update path mutates: updates work on private readNode
+	// copies, whose slab rows may drift from their entries unread.
 	slab       []uint64
 	slabStride int
-	slabRows   int
-}
-
-// slabScannable reports whether the node's entry signatures can be scanned
-// through the slab kernels: a slab exists and still describes exactly the
-// current entries.
-func (n *node) slabScannable() bool {
-	return n.slab != nil && n.slabRows == len(n.entries)
-}
-
-// dropSlab detaches the slab after a mutation that invalidates row order.
-// The entry views keep aliasing the old memory, so signatures stay valid;
-// only the batched scans fall back to per-entry kernels.
-func (n *node) dropSlab() {
-	n.slab = nil
-	n.slabRows = 0
 }
 
 // slabStrideFor picks the slab row stride for signatures of the given word
@@ -118,17 +99,8 @@ func slabStrideFor(words int) int {
 	return (words + 7) &^ 7
 }
 
-// entryArea returns entry i's signature area, using the cached popcount
-// when the node carries one.
-func (n *node) entryArea(i int) int {
-	if n.areas != nil {
-		return n.areas[i]
-	}
-	return n.entries[i].sig.Area()
-}
-
-// cacheAreas populates the per-entry area cache. Only the read path calls
-// it, immediately before publishing the node to the decoded-node cache.
+// cacheAreas populates the per-entry area cache. Only readNodeCached calls
+// it, before handing the node to a query.
 func (n *node) cacheAreas() {
 	n.areas = make([]int, len(n.entries))
 	for i := range n.entries {
@@ -260,7 +232,6 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 	}
 	n.slab = slab
 	n.slabStride = stride
-	n.slabRows = count
 	return n, nil
 }
 
@@ -315,9 +286,7 @@ func (n *node) parentEntry(length int) entry {
 }
 
 // removeEntry deletes entry i preserving order (order is irrelevant to the
-// structure but stable behaviour simplifies testing). The slab no longer
-// matches the entry rows afterwards, so it is dropped.
+// structure but stable behaviour simplifies testing).
 func (n *node) removeEntry(i int) {
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
-	n.dropSlab()
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Observer receives traversal events from the query executor. Hooks are
-// invoked synchronously on the querying goroutine, so implementations must
-// be fast and must not call back into the tree (the tree lock is held).
+// invoked synchronously on the querying goroutine, inside the traversal, so
+// implementations must be fast: the query keeps its snapshot pinned, and
+// the pages of that epoch unreclaimed, until the hooks return.
 //
 // An observer can be attached to a tree (SetObserver: every query reports
 // to it) or to a single query (WithObserver on the query context); when

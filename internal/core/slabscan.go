@@ -5,48 +5,29 @@ import (
 	"sgtree/internal/signature"
 )
 
-// Batched node scans. Decoded nodes keep their entry signatures in one
-// padded, cache-line-aligned slab (node.slab); here the executor computes
-// every entry's lower bound or exact distance in a single blocked kernel
-// pass over that slab instead of a per-entry popcount call. Every bound and
-// distance the tree uses is a function of x = |q ∩ e| plus per-entry
-// integers (areas, cardinality ranges), so one bitset.AndCountSlab pass plus
-// the signature package's *FromIntersect scalar finishers covers every
-// configuration; the plain-Hamming cases skip even that and batch the final
-// count directly (AndNotCountSlab for directory bounds, XorCountSlab for
-// leaf distances).
+// Batched node scans: the one way a query traversal scores a node. Decoded
+// nodes keep their entry signatures in one padded, cache-line-aligned slab
+// (node.slab); here the executor computes every entry's lower bound or
+// exact distance in a single blocked kernel pass over that slab. Every
+// bound and distance the tree uses is a function of x = |q ∩ e| plus
+// per-entry integers (areas, cardinality ranges), so one
+// bitset.AndCountSlab pass plus the signature package's *FromIntersect
+// scalar finishers covers every configuration; the plain-Hamming cases
+// skip even that and batch the final count directly (AndNotCountSlab for
+// directory bounds, XorCountSlab for leaf distances). The slab kernels are
+// AVX2 on capable amd64 and 4x-unrolled Go loops everywhere else; both
+// produce the same exact counts.
 //
-// Equivalence with the per-entry path is exact, not approximate:
-//
-//   - the finishers are bit-identical to MinDist/Distance for the same
-//     integer inputs (see the signature package), and
-//   - for Hamming the slab path's exact counts give the same prune/accept
-//     verdicts as the early-exit *AtLeast kernels, by the
-//     HammingPruneLimit equivalence (c >= limit ⟺ distFails(float64(c))).
-//
-// The only observable difference is that observers see exact bounds for
-// pruned entries where the early-exit path reports clamped ones; both are
-// valid lower bounds and search results are unaffected (the core property
-// test in slabscan_test.go pins the full equivalence).
+// The finishers are bit-identical to MinDist/Distance for the same integer
+// inputs (see the signature package), so every value in e.bounds is the
+// exact bound or distance, and prunability under a threshold is
+// distFails(e.bounds[i], thr, strict).
 //
 // The scratch rules mirror orderBranches: e.counts and e.bounds are
 // executor-level buffers reused across nodes, so traversals must consume
 // them before recursing (rangeWalk copies survivors into a pooled
 // branchEntry buffer first; the leaf loops and the iterative best-first
 // loops consume in place).
-
-// slabScanEnabled gates the batched scans on vectorized slab kernels being
-// active. Without them (non-amd64, no AVX2, or SGTREE_NO_ASM set) the
-// per-entry early-exit kernels are the better engine and the traversals
-// keep their original scan loops.
-var slabScanEnabled = bitset.FastSlabKernels()
-
-// slabScanMaxStride caps the row width (in words) of batched scans. The
-// slab pass always counts whole rows, so for very long signatures the
-// per-entry *AtLeast kernels — which can abort a row part-way once the
-// count proves prunability — win back their advantage; 128 words (1 KiB
-// signatures) is far past the crossover for every benchmarked geometry.
-const slabScanMaxStride = 128
 
 // scanBufs sizes the executor's slab scratch for rows entries.
 func (e *executor) scanBufs(rows int) (counts []int32, bounds []float64) {
@@ -79,17 +60,10 @@ func (e *executor) padQuery(q signature.Signature, stride int) []uint64 {
 
 // slabBounds computes the exact lower-bound distance between q and every
 // directory entry of n in one batched pass, filling e.bounds[i] for entry
-// i. It returns false — leaving e.bounds untouched — when the node or
-// configuration cannot be slab-scanned (stale slab, vector kernels
-// unavailable, oversized rows); callers then run the per-entry path.
-// Prunability under a threshold is recovered exactly as
-// distFails(e.bounds[i], thr, strict), since every bound here is exact.
+// i.
 //
 //sglint:hotpath
-func (e *executor) slabBounds(n *node, q signature.Signature) bool {
-	if !slabScanEnabled || !n.slabScannable() || n.slabStride > slabScanMaxStride {
-		return false
-	}
+func (e *executor) slabBounds(n *node, q signature.Signature) {
 	rows := len(n.entries)
 	counts, bounds := e.scanBufs(rows) //sglint:alloc executor scratch grows once to the max row count, then is reused across nodes
 	qp := e.padQuery(q, n.slabStride)  //sglint:alloc pooled query padding, reallocated only when the stride grows
@@ -121,27 +95,18 @@ func (e *executor) slabBounds(n *node, q signature.Signature) bool {
 		}
 	}
 	e.stats.EntriesTested += rows
-	return true
 }
 
 // slabDistances computes the exact distance between q and every leaf entry
-// of n in one batched pass, filling e.bounds[i]. Same fallback contract as
-// slabBounds; additionally the non-Hamming metrics need the per-entry area
-// cache (|t| for the finisher), which only cache-published nodes carry.
+// of n in one batched pass, filling e.bounds[i]. The normalized metrics
+// take |t| from the per-entry area cache readNodeCached attaches.
 //
 //sglint:hotpath
-func (e *executor) slabDistances(n *node, q signature.Signature) bool {
-	if !slabScanEnabled || !n.slabScannable() || n.slabStride > slabScanMaxStride {
-		return false
-	}
-	m := e.t.opts.Metric
-	if m != signature.Hamming && n.areas == nil {
-		return false
-	}
+func (e *executor) slabDistances(n *node, q signature.Signature) {
 	rows := len(n.entries)
 	counts, bounds := e.scanBufs(rows) //sglint:alloc executor scratch grows once to the max row count, then is reused across nodes
 	qp := e.padQuery(q, n.slabStride)  //sglint:alloc pooled query padding, reallocated only when the stride grows
-	if m == signature.Hamming {
+	if m := e.t.opts.Metric; m == signature.Hamming {
 		bitset.XorCountSlab(qp, n.slab, n.slabStride, counts)
 		for i, c := range counts {
 			bounds[i] = float64(c)
@@ -154,5 +119,4 @@ func (e *executor) slabDistances(n *node, q signature.Signature) bool {
 		}
 	}
 	e.stats.DataCompared += rows
-	return true
 }
